@@ -1,58 +1,69 @@
-"""Hot-path speedup bar — interning + memoisation must buy >= 2x.
+"""Speedup bars against pinned pre-optimisation commits — each must be >= 2x.
 
-The DP optimisations (hash-consed ASTs, memoised type checking, derivation
-fast paths, the per-sentence seed index — docs/PERFORMANCE.md) are all
-gated on one switch, disabled by ``REPRO_NO_INTERN=1``.  This bench runs
-the same cold workload (an even subsample of the Table 2 test split, no
-result cache) in two fresh subprocesses — one per mode — and enforces:
+Two optimisations are measured against the real code that preceded them,
+unpacked from git history into a temporary directory with
+``git archive <commit> src | tar -x`` (the repository's ``.git`` is never
+touched, so a full clone is needed: ``fetch-depth: 0`` in CI):
 
-* **speedup**: optimised wall time must be >= 2x faster than the
-  de-optimised baseline (the pre-optimisation code paths, kept intact);
-* **identity**: both modes must serialise byte-identical rankings
-  (programs, scores, Excel emission) — the bench doubles as a smoke-level
-  differential; the full-split harness is ``tests/test_differential_intern``.
+* **hot path** — interned ASTs, memoised type checking, derivation fast
+  paths and the per-sentence seed index (docs/PERFORMANCE.md), measured
+  against :data:`HOTPATH_BASELINE`, the parent of the commit that added
+  them.  The workload is an even sample of the Table 2 test split, cold
+  (no result cache), one ``Translator`` per sheet.
+* **large sheet** — the columnar sheet backend and template interning
+  (``repro.sheet.columnar``), measured against
+  :data:`LARGESHEET_BASELINE`, the parent of the commit that added them.
+  The workload is a generated large sheet (``repro.dataset.stress``; the
+  baseline predates that module, so its child loads the current tree's
+  ``stress.py`` by file path), cold in the strict sense: a fresh
+  ``Translator`` per request, so sheet indexing is inside the timed
+  region.
+
+Each side runs in a fresh subprocess whose ``PYTHONPATH`` is either this
+tree's ``src`` or the unpacked baseline's, fastest of two rounds.  Both
+bars also require the two sides to produce byte-identical rankings
+(programs, scores, Excel emission): the sha256 digests must match.  The
+absolute oracle for rankings is ``tests/test_golden.py``.
 
 Each run appends a row to ``BENCH_hotpath.json`` (override the location
-with ``REPRO_BENCH_OUT``), the benchmark trajectory CI uploads as an
-artifact.
+with ``REPRO_BENCH_OUT``) naming its ``baseline_commit``.  Sample sizes
+are tunable via ``REPRO_HOTPATH_SAMPLE``, ``REPRO_LARGESHEET_ROWS`` and
+``REPRO_LARGESHEET_SAMPLE``.
 
-A second bar covers the columnar sheet backend (``repro.sheet.columnar``,
-disabled by ``REPRO_NO_COLUMNAR=1``): the same subprocess A/B over a
-generated large-sheet workload (``repro.dataset.stress``), cold in the
-strict sense — a fresh ``Translator`` per request, so sheet indexing is
-inside the timed region.  Size and sample are tunable via
-``REPRO_LARGESHEET_ROWS`` / ``REPRO_LARGESHEET_SAMPLE``.
-
-Run the measured child directly for one mode::
+Run one measured child directly against this tree::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py --child 48
-    REPRO_NO_INTERN=1 PYTHONPATH=src python benchmarks/bench_hotpath.py --child 48
     PYTHONPATH=src python benchmarks/bench_hotpath.py --child-large 12
-    REPRO_NO_COLUMNAR=1 PYTHONPATH=src python benchmarks/bench_hotpath.py --child-large 12
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 SPEEDUP_BAR = 2.0
 LARGESHEET_SPEEDUP_BAR = 2.0
+HOTPATH_BASELINE = "580b031"  # parent of the interning commit (55545e6)
+LARGESHEET_BASELINE = "93a8aa2"  # parent of the columnar commit (cd7bfd1)
 _SAMPLE = int(os.environ.get("REPRO_HOTPATH_SAMPLE", "48"))
 _LARGE_ROWS = int(os.environ.get("REPRO_LARGESHEET_ROWS", "10000"))
 _LARGE_SAMPLE = int(os.environ.get("REPRO_LARGESHEET_SAMPLE", "12"))
-_ROUNDS = 2  # take the fastest round per mode (absorbs machine noise)
+_ROUNDS = 2  # take the fastest round per side (absorbs machine noise)
+
+_REPO = Path(__file__).resolve().parent.parent
+_STRESS_PY = _REPO / "src" / "repro" / "dataset" / "stress.py"
 
 
 def _child(n: int) -> dict:
     """Translate an even n-sample of the test split; report time + digest."""
     from repro.dataset import SHEET_ORDER, Corpus, build_sheet
-    from repro.dsl import ast
     from repro.dsl.excel import ExcelEmitter
     from repro.translate import Translator
 
@@ -82,26 +93,39 @@ def _child(n: int) -> dict:
         "seconds": seconds,
         "per_translation_ms": seconds / n * 1000.0,
         "sha256": digest.hexdigest(),
-        "hotpath": ast.hotpath_enabled(),
     }
+
+
+def _stress_module():
+    """``repro.dataset.stress``, or this tree's copy of it loaded by file
+    path when the source under test predates the module."""
+    try:
+        from repro.dataset import stress
+    except ImportError:
+        spec = importlib.util.spec_from_file_location(
+            "repro.dataset.stress", _STRESS_PY
+        )
+        stress = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = stress
+        spec.loader.exec_module(stress)
+    return stress
 
 
 def _child_large(n: int) -> dict:
     """Cold-translate n stress sentences against a large generated sheet.
 
-    Cold here means a fresh ``Translator`` per request: with the columnar
-    backend on, the first request pays the (revision-memoised) index
-    build and later ones probe it; with ``REPRO_NO_COLUMNAR=1`` every
-    request re-walks all rows — both are the real per-mode behaviours.
+    Cold here means a fresh ``Translator`` per request: the columnar code
+    pays its (revision-memoised) index build on the first request and
+    probes it afterwards; the baseline re-walks all rows per request —
+    both are the real behaviours of their code.
     """
-    from repro.dataset import SHEET_ORDER, build_sheet, stress_sentences, \
-        stress_workbook
+    from repro.dataset import SHEET_ORDER, build_sheet
     from repro.dsl.excel import ExcelEmitter
-    from repro.sheet import columnar_enabled
     from repro.translate import Translator
 
-    workbook = stress_workbook(_LARGE_ROWS)
-    sentences = stress_sentences(workbook, count=n)
+    stress = _stress_module()
+    workbook = stress.stress_workbook(_LARGE_ROWS)
+    sentences = stress.stress_sentences(workbook, count=n)
     # Warm process one-time costs (imports, rule parsing) on a tiny sheet
     # so the timed region measures the large-sheet path, not start-up.
     Translator(build_sheet(SHEET_ORDER[0])).translate("sum the hours")
@@ -123,48 +147,47 @@ def _child_large(n: int) -> dict:
         "seconds": seconds,
         "per_translation_ms": seconds / n * 1000.0,
         "sha256": digest.hexdigest(),
-        "columnar": columnar_enabled(),
     }
 
 
-def _run_mode(disabled: bool, n: int) -> dict:
+def _unpack_baseline(commit: str, dest: Path) -> Path:
+    """Extract ``src/`` at ``commit`` into ``dest``; returns the src dir."""
+    archive = subprocess.run(
+        ["git", "-C", str(_REPO), "archive", commit, "src"],
+        capture_output=True, check=False,
+    )
+    assert archive.returncode == 0, (
+        f"cannot archive baseline commit {commit} (a shallow clone lacks "
+        f"it; fetch the full history): {archive.stderr.decode().strip()}"
+    )
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout,
+                   check=True)
+    return dest / "src"
+
+
+def _run_side(flag: str, n: int, src: Path) -> dict:
+    """Fastest of ``_ROUNDS`` fresh child processes over ``src``."""
     env = dict(os.environ)
-    env["REPRO_NO_INTERN"] = "1" if disabled else ""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+    env["PYTHONPATH"] = str(src)
     best: dict | None = None
     for _ in range(_ROUNDS):
         out = subprocess.run(
-            [sys.executable, __file__, "--child", str(n)],
+            [sys.executable, __file__, flag, str(n)],
             env=env, capture_output=True, text=True, check=True,
         )
         result = json.loads(out.stdout)
         if best is None or result["seconds"] < best["seconds"]:
             best = result
     assert best is not None
-    assert best["hotpath"] is not disabled, "child did not honour the switch"
     return best
 
 
-def _run_large_mode(disabled: bool, n: int) -> dict:
-    env = dict(os.environ)
-    env["REPRO_NO_COLUMNAR"] = "1" if disabled else ""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-    best: dict | None = None
-    for _ in range(_ROUNDS):
-        out = subprocess.run(
-            [sys.executable, __file__, "--child-large", str(n)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        result = json.loads(out.stdout)
-        if best is None or result["seconds"] < best["seconds"]:
-            best = result
-    assert best is not None
-    assert best["columnar"] is not disabled, "child did not honour the switch"
-    return best
+def _ab(flag: str, n: int, commit: str) -> tuple[dict, dict]:
+    """(baseline, optimised) results of one child workload."""
+    with tempfile.TemporaryDirectory(prefix="bench-baseline-") as tmp:
+        baseline = _run_side(flag, n, _unpack_baseline(commit, Path(tmp)))
+    optimised = _run_side(flag, n, _REPO / "src")
+    return baseline, optimised
 
 
 def _append_trajectory(row: dict) -> Path:
@@ -180,15 +203,16 @@ def _append_trajectory(row: dict) -> Path:
     return path
 
 
-def test_hotpath_speedup_bar():
-    """Cold translation >= 2x faster with the hot path on, output identical."""
-    baseline = _run_mode(disabled=True, n=_SAMPLE)
-    optimised = _run_mode(disabled=False, n=_SAMPLE)
+def _record(
+    baseline: dict, optimised: dict, commit: str, bar: float, **extra
+) -> float:
     speedup = baseline["seconds"] / optimised["seconds"]
     identical = baseline["sha256"] == optimised["sha256"]
     row = {
         "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "n": _SAMPLE,
+        **extra,
+        "n": optimised["n"],
+        "baseline_commit": commit,
         "baseline_s": round(baseline["seconds"], 4),
         "optimised_s": round(optimised["seconds"], 4),
         "baseline_ms_per_translation": round(
@@ -199,62 +223,48 @@ def test_hotpath_speedup_bar():
         ),
         "speedup": round(speedup, 3),
         "identical_output": identical,
+        "sha256": optimised["sha256"],
         "python": sys.version.split()[0],
     }
     path = _append_trajectory(row)
     print(
-        f"\nhotpath: baseline {baseline['per_translation_ms']:.1f} ms -> "
-        f"optimised {optimised['per_translation_ms']:.1f} ms per translation "
-        f"({speedup:.2f}x, trajectory: {path})"
+        f"\n{extra.get('bench', 'hotpath')}: {commit} "
+        f"{baseline['per_translation_ms']:.1f} ms -> this tree "
+        f"{optimised['per_translation_ms']:.1f} ms per translation "
+        f"({speedup:.2f}x, bar {bar}x, trajectory: {path})"
     )
     assert identical, (
-        "optimised and REPRO_NO_INTERN=1 rankings diverged "
+        f"rankings diverged from baseline {commit} "
         f"({baseline['sha256'][:12]} vs {optimised['sha256'][:12]})"
     )
+    return speedup
+
+
+def test_hotpath_speedup_bar():
+    """Cold translation >= 2x faster than the pre-interning commit, with
+    byte-identical output."""
+    baseline, optimised = _ab("--child", _SAMPLE, HOTPATH_BASELINE)
+    speedup = _record(baseline, optimised, HOTPATH_BASELINE, SPEEDUP_BAR)
     assert speedup >= SPEEDUP_BAR, (
-        f"hot path is only {speedup:.2f}x faster than the de-optimised "
-        f"baseline (bar: {SPEEDUP_BAR}x)"
+        f"hot path is only {speedup:.2f}x faster than {HOTPATH_BASELINE} "
+        f"(bar: {SPEEDUP_BAR}x)"
     )
 
 
 def test_columnar_largesheet_bar():
-    """Cold large-sheet translation >= 2x faster with the columnar
-    backend on, output byte-identical to the row-backed paths."""
-    baseline = _run_large_mode(disabled=True, n=_LARGE_SAMPLE)
-    optimised = _run_large_mode(disabled=False, n=_LARGE_SAMPLE)
-    speedup = baseline["seconds"] / optimised["seconds"]
-    identical = baseline["sha256"] == optimised["sha256"]
-    row = {
-        "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "bench": "columnar_largesheet",
-        "rows": _LARGE_ROWS,
-        "n": _LARGE_SAMPLE,
-        "baseline_s": round(baseline["seconds"], 4),
-        "optimised_s": round(optimised["seconds"], 4),
-        "baseline_ms_per_translation": round(
-            baseline["per_translation_ms"], 3
-        ),
-        "optimised_ms_per_translation": round(
-            optimised["per_translation_ms"], 3
-        ),
-        "speedup": round(speedup, 3),
-        "identical_output": identical,
-        "python": sys.version.split()[0],
-    }
-    path = _append_trajectory(row)
-    print(
-        f"\ncolumnar ({_LARGE_ROWS} rows): baseline "
-        f"{baseline['per_translation_ms']:.1f} ms -> optimised "
-        f"{optimised['per_translation_ms']:.1f} ms per translation "
-        f"({speedup:.2f}x, trajectory: {path})"
+    """Cold large-sheet translation >= 2x faster than the pre-columnar
+    commit, with byte-identical output."""
+    baseline, optimised = _ab(
+        "--child-large", _LARGE_SAMPLE, LARGESHEET_BASELINE
     )
-    assert identical, (
-        "columnar and REPRO_NO_COLUMNAR=1 rankings diverged "
-        f"({baseline['sha256'][:12]} vs {optimised['sha256'][:12]})"
+    speedup = _record(
+        baseline, optimised, LARGESHEET_BASELINE, LARGESHEET_SPEEDUP_BAR,
+        bench="columnar_largesheet", rows=_LARGE_ROWS,
     )
     assert speedup >= LARGESHEET_SPEEDUP_BAR, (
-        f"columnar backend is only {speedup:.2f}x faster on the "
-        f"{_LARGE_ROWS}-row sheet (bar: {LARGESHEET_SPEEDUP_BAR}x)"
+        f"columnar backend is only {speedup:.2f}x faster than "
+        f"{LARGESHEET_BASELINE} on the {_LARGE_ROWS}-row sheet "
+        f"(bar: {LARGESHEET_SPEEDUP_BAR}x)"
     )
 
 

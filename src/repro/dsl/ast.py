@@ -22,7 +22,6 @@ Partial expressions extend this grammar with :class:`Hole` placeholders
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterator
 
@@ -30,7 +29,7 @@ from ..sheet.formatting import FormatFn
 from ..sheet.values import CellValue
 
 # ---------------------------------------------------------------------------
-# Hash-consing and the hot-path switch
+# Hash-consing
 # ---------------------------------------------------------------------------
 #
 # The translator's DP creates the same (sub-)expressions millions of times
@@ -38,50 +37,12 @@ from ..sheet.values import CellValue
 # become the *same object*, and every node caches its structural hash and
 # ``str()`` on first use, so dedup maps, type-checker probes, and prune
 # tiebreakers stop re-walking trees (docs/PERFORMANCE.md).
-#
-# ``REPRO_NO_INTERN=1`` is the escape hatch: it disables interning and every
-# downstream memoisation layer keyed on it (holes/type-checker/context
-# caches, rule prefilters), restoring the pre-optimisation code paths.  The
-# differential harness proves both modes byte-identical; the hotpath bench
-# measures the speedup between them.
 
-_HOTPATH = os.environ.get("REPRO_NO_INTERN", "") != "1"
 _INTERN_TABLE: dict["Expr", "Expr"] = {}
 # Soft cap on distinct interned nodes.  A long-lived service translating
 # against many workbooks must not leak; clearing only costs future identity
 # sharing (correctness is structural, never identity-based).
 _INTERN_CAP = 1 << 18
-
-
-def hotpath_enabled() -> bool:
-    """True when interning + hot-path memoisation are active (default)."""
-    return _HOTPATH
-
-
-def set_hotpath(enabled: bool) -> None:
-    """Flip the hot-path switch at runtime (tests, differential harness).
-
-    The intern table is cleared on every flip so the two modes never share
-    canonical nodes.
-    """
-    global _HOTPATH
-    _HOTPATH = bool(enabled)
-    _INTERN_TABLE.clear()
-
-
-def sync_hotpath_from_env() -> None:
-    """Re-read ``REPRO_NO_INTERN`` — needed by forked gateway workers whose
-    parent imported this module before the env var was set.
-
-    Also re-reads ``REPRO_NO_COLUMNAR`` (:mod:`repro.sheet.columnar`): the
-    columnar backend and the template intern tables ride the same fork
-    serialisation path into workers, so the two switches stay in sync from
-    one call site.
-    """
-    set_hotpath(os.environ.get("REPRO_NO_INTERN", "") != "1")
-    from ..sheet.columnar import sync_columnar_from_env
-
-    sync_columnar_from_env()
 
 
 def intern_table_size() -> int:
@@ -94,10 +55,7 @@ def intern(expr: "Expr") -> "Expr":
     Children are interned recursively, so every sub-expression of a
     canonical node is canonical too — which is what turns the type
     checker's structural cache probes into O(1) identity-backed hits.
-    A no-op (returns ``expr`` unchanged) when the hot path is disabled.
     """
-    if not _HOTPATH:
-        return expr
     table = _INTERN_TABLE
     found = table.get(expr)
     if found is not None:
@@ -506,8 +464,7 @@ def _make_cached_hash(gen_hash):
         h = self.__dict__.get("_h")
         if h is None:
             h = gen_hash(self)
-            if _HOTPATH:
-                object.__setattr__(self, "_h", h)
+            object.__setattr__(self, "_h", h)
         return h
 
     return __hash__
@@ -518,8 +475,7 @@ def _make_cached_str(raw_str):
         s = self.__dict__.get("_s")
         if s is None:
             s = raw_str(self)
-            if _HOTPATH:
-                object.__setattr__(self, "_s", s)
+            object.__setattr__(self, "_s", s)
         return s
 
     return __str__
@@ -532,8 +488,7 @@ def _install_node_caches() -> None:
     The cached values are *identical* to the generated/declared ones —
     dataclass structural hash and the node's own rendering — so dict and
     sort behaviour is byte-for-byte unchanged; only the recomputation
-    disappears.  When the hot path is disabled nothing is stashed and every
-    call recomputes, reproducing the pre-optimisation cost model.
+    disappears.
     """
     for cls in Expr.__subclasses__():
         cls.__hash__ = _make_cached_hash(cls.__hash__)

@@ -19,7 +19,6 @@ import enum
 from dataclasses import dataclass
 
 from ..errors import DslTypeError, UnknownColumnError, UnknownTableError
-from ..sheet.columnar import columnar_enabled
 from ..sheet.values import ValueType
 from ..sheet.workbook import Workbook
 from . import ast
@@ -73,12 +72,10 @@ class TypeChecker:
         self.workbook = workbook
         self.content_check = content_check
         self._cache: dict[tuple[ast.Expr, str | None], DslType] = {}
-        self._values_cache: dict[str, dict[str, list[str]]] = {}
-        # Hot-path memos (active only while ast.hotpath_enabled()): verdict
-        # caches that spare the synthesis closure both the repeated tree
-        # walks and the repeated DslTypeError raises for candidates it has
-        # already judged.  Keys are expressions — structurally hashed, so
-        # with interning every probe is an O(1) identity-backed dict hit.
+        # Verdict caches that spare the synthesis closure both the repeated
+        # tree walks and the repeated DslTypeError raises for candidates it
+        # has already judged.  Keys are expressions — structurally hashed,
+        # so with interning every probe is an O(1) identity-backed dict hit.
         self._valid_cache: dict[ast.Expr, bool] = {}
         self._fail_cache: dict[tuple[ast.Expr, str | None], str] = {}
         self._program_cache: dict[ast.Expr, bool] = {}
@@ -88,27 +85,19 @@ class TypeChecker:
     def valid(self, expr: ast.Expr) -> bool:
         """The paper's ``Valid(e)``: True iff ``e`` is well-typed (holes are
         permitted and act as wildcards)."""
-        if ast.hotpath_enabled():
-            cached = self._valid_cache.get(expr)
-            if cached is not None:
-                return cached
-            try:
-                self.type_of(expr)
-                ok = True
-            except DslTypeError:
-                ok = False
-            self._valid_cache[expr] = ok
-            return ok
+        cached = self._valid_cache.get(expr)
+        if cached is not None:
+            return cached
         try:
             self.type_of(expr)
-            return True
+            ok = True
         except DslTypeError:
-            return False
+            ok = False
+        self._valid_cache[expr] = ok
+        return ok
 
     def valid_program(self, expr: ast.Expr) -> bool:
         """True iff ``e`` is a complete (hole-free), well-typed program."""
-        if not ast.hotpath_enabled():
-            return self._compute_valid_program(expr)
         cached = self._program_cache.get(expr)
         if cached is None:
             cached = self._compute_valid_program(expr)
@@ -132,17 +121,14 @@ class TypeChecker:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if ast.hotpath_enabled():
-            message = self._fail_cache.get(key)
-            if message is not None:
-                raise DslTypeError(message)
-            try:
-                result = self._compute(expr, scope)
-            except DslTypeError as exc:
-                self._fail_cache[key] = str(exc)
-                raise
-        else:
+        message = self._fail_cache.get(key)
+        if message is not None:
+            raise DslTypeError(message)
+        try:
             result = self._compute(expr, scope)
+        except DslTypeError as exc:
+            self._fail_cache[key] = str(exc)
+            raise
         self._cache[key] = result
         return result
 
@@ -309,21 +295,11 @@ class TypeChecker:
             table = self.workbook.table(ct.table)
             needle = str(literal.value.payload).strip().lower()
             column_name = table.column(column.name).name
-            if columnar_enabled():
-                # One pool probe + one distinct-id set test against the
-                # interned columnar index — the row walk below scans the
-                # whole table on the first probe per table, which dominates
-                # first-translate time on large sheets.
-                occurs_here = self.workbook.columnar_index().occurs_in(
-                    ct.table, needle, column_name
-                )
-            else:
-                occurs = self._values_cache.get(ct.table)
-                if occurs is None:
-                    occurs = table.distinct_text_values()
-                    self._values_cache[ct.table] = occurs
-                occurs_here = column_name in occurs.get(needle, ())
-            if not occurs_here:
+            # One pool probe + one distinct-id set test against the interned
+            # columnar index (memoised per sheet revision).
+            if not self.workbook.columnar_index().occurs_in(
+                ct.table, needle, column_name
+            ):
                 raise DslTypeError(
                     f"value {needle!r} does not occur in column "
                     f"{column_name!r}"

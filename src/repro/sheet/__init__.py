@@ -8,13 +8,7 @@ per-cell formatting, the active selection, and the cursor.
 from .address import CellAddress, column_index_to_letter, column_letter_to_index, is_cell_reference
 from .cell import Cell
 from .column import Column, infer_column_type
-from .columnar import (
-    HAVE_NUMPY,
-    ColumnarIndex,
-    columnar_enabled,
-    set_columnar,
-    sync_columnar_from_env,
-)
+from .columnar import HAVE_NUMPY, ColumnarIndex
 from .formatting import CellFormat, Color, FormatFn
 from .table import Table
 from .values import CellValue, ValueType, parse_literal, parse_word_number
@@ -35,11 +29,8 @@ __all__ = [
     "Workbook",
     "column_index_to_letter",
     "column_letter_to_index",
-    "columnar_enabled",
     "infer_column_type",
     "is_cell_reference",
     "parse_literal",
     "parse_word_number",
-    "set_columnar",
-    "sync_columnar_from_env",
 ]

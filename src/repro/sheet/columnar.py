@@ -2,9 +2,10 @@
 
 The translator's seed matching (``SheetContext``) and the type checker's
 content check both consume the same question — *which values occur in
-which columns* — and the row-backed answer (``Table.distinct_text_values``)
-walks every cell in Python on every ``Translator`` construction.  On a
-100k-row table that walk dominates cold translation.
+which columns* — and answering it from rows
+(``Table.distinct_text_values``) walks every cell in Python on every
+``Translator`` construction.  On a 100k-row table that walk dominates cold
+translation.
 
 This module interns every normalised text value into a string pool once
 per workbook revision and stores each TEXT column as a vector of pool ids
@@ -19,12 +20,6 @@ picked up automatically when numpy is importable).  Lookups then become:
 
 instead of per-probe scans over ``dict``-of-rows.
 
-``REPRO_NO_COLUMNAR=1`` is the escape hatch, mirroring ``REPRO_NO_INTERN``
-(:mod:`repro.dsl.ast`): it restores the row-backed lookups *and* every
-optimisation gated on this switch downstream (template interning, the
-compiled-alignment table, the cached builtin rule set).  The differential
-harness proves both modes byte-identical.
-
 The index is pure derived state: building it never mutates the workbook,
 and :meth:`repro.sheet.workbook.Workbook.columnar_index` memoises it
 against the global sheet revision counter, so forked gateway workers
@@ -34,7 +29,6 @@ copy-on-write.
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import TYPE_CHECKING
 
@@ -49,31 +43,6 @@ except Exception:  # pragma: no cover - numpy genuinely absent in CI
     _np = None
 
 HAVE_NUMPY = _np is not None
-
-_COLUMNAR = os.environ.get("REPRO_NO_COLUMNAR", "") != "1"
-
-
-def columnar_enabled() -> bool:
-    """True when the columnar backend (and the optimisations gated on it)
-    are active (default)."""
-    return _COLUMNAR
-
-
-def set_columnar(enabled: bool) -> None:
-    """Flip the columnar switch at runtime (tests, differential harness).
-
-    The per-workbook index memo is keyed on the revision counter and the
-    index itself is a pure function of sheet content, so nothing needs
-    clearing on a flip: a disabled probe simply never consults it.
-    """
-    global _COLUMNAR
-    _COLUMNAR = bool(enabled)
-
-
-def sync_columnar_from_env() -> None:
-    """Re-read ``REPRO_NO_COLUMNAR`` — needed by forked gateway workers
-    whose parent imported this module before the env var was set."""
-    set_columnar(os.environ.get("REPRO_NO_COLUMNAR", "") != "1")
 
 
 class ColumnVector:
@@ -218,9 +187,10 @@ class ColumnarIndex:
     # -- derived, revision-scoped artefacts --------------------------------
 
     def all_text_values(self) -> dict[str, list[tuple[str, str]]]:
-        """The merged value -> slots lexicon, equal (keys, and slot-list
-        order per key) to the row-backed ``Workbook.all_text_values()``.
-        Callers must treat it as read-only: it is shared per revision."""
+        """The merged value -> slots lexicon: tables in insertion order,
+        columns in header order, matching what a walk over every table's
+        ``distinct_text_values()`` would produce.  Callers must treat it as
+        read-only: it is shared per revision."""
         if self._text_values is None:
             strings = self._strings
             merged: dict[str, list[tuple[str, str]]] = {}

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from ..errors import SheetError, UnknownTableError
 from .address import CellAddress
 from .cell import Cell, bump_revision, current_revision
-from .columnar import ColumnarIndex, columnar_enabled
+from .columnar import ColumnarIndex
 from .table import Table
 from .values import CellValue
 
@@ -37,8 +37,6 @@ class Workbook:
         self._fp_revision: int = -1
         self._columnar: ColumnarIndex | None = None
         self._columnar_revision: int = -1
-        self._text_values: dict[str, list[tuple[str, str]]] | None = None
-        self._text_values_revision: int = -1
 
     def _touch(self) -> None:
         """Record a workbook-level mutation (cursor, selection, tables).
@@ -336,31 +334,7 @@ class Workbook:
         """lowercase text value -> [(table name, column name)] everywhere it
         occurs; the translator's sheet-value lexicon.
 
-        Memoised against the sheet revision counter (and served straight
-        from the columnar index when that backend is enabled); callers must
-        treat the result as read-only.  With ``REPRO_NO_COLUMNAR=1`` the
-        original rebuild-per-call row walk is restored unchanged.
+        Served from the revision-memoised columnar index; callers must
+        treat the result as read-only.
         """
-        if not columnar_enabled():
-            return self._all_text_values_rows()
-        revision = current_revision()
-        if (
-            self._text_values is not None
-            and self._text_values_revision == revision
-        ):
-            return self._text_values
-        merged = self.columnar_index().all_text_values()
-        self._text_values = merged
-        self._text_values_revision = revision
-        return merged
-
-    def _all_text_values_rows(self) -> dict[str, list[tuple[str, str]]]:
-        """The row-backed lexicon build (the pre-columnar code path)."""
-        merged: dict[str, list[tuple[str, str]]] = {}
-        for table in self._tables.values():
-            for value, columns in table.distinct_text_values().items():
-                slots = merged.setdefault(value, [])
-                for col in columns:
-                    if (table.name, col) not in slots:
-                        slots.append((table.name, col))
-        return merged
+        return self.columnar_index().all_text_values()

@@ -11,20 +11,17 @@ Compiled templates
 ------------------
 
 ``align`` runs per (rule, span) in the DP inner loop — the suffix-width
-table it needs is a pure function of the template, yet the original code
-rebuilt it on every call.  :func:`compile_template` builds that automaton
-once per *structural* template and interns it in a cross-request table
-(keyed like ``repro.dsl.ast.intern``): because ``parse_template`` interns
-template tuples too, every translator, forked gateway worker (via fork
+table it needs is a pure function of the template.
+:func:`compile_template` builds that automaton once per *structural*
+template and interns it in a cross-request table (keyed like
+``repro.dsl.ast.intern``): because ``parse_template`` interns template
+tuples too, every translator, forked gateway worker (via fork
 copy-on-write), and learned rule pack sharing a template shares one
-compiled form.  ``REPRO_NO_COLUMNAR=1`` disables the compiled path and
-restores the rebuild-per-call baseline unchanged.
+compiled form.
 """
 
 from __future__ import annotations
 
-from ..dsl.ast import hotpath_enabled
-from ..sheet.columnar import columnar_enabled
 from .context import SheetContext
 from .patterns import MustPat, OptPat, Pattern
 from .tokenizer import Token
@@ -47,8 +44,8 @@ class CompiledTemplate:
       still tile (prunes the backtracking search); computed once here
       instead of per ``align`` call;
     * ``must_option_sets`` — the MustPats' per-option word frozensets, laid
-      out flat so ``quick_reject`` is a loop over precollected sets with no
-      per-call isinstance scan.
+      out flat so ``quick_reject`` is one C-level subset test per option
+      with no per-call isinstance scan.
     """
 
     __slots__ = ("template", "size", "min_suffix", "must_option_sets")
@@ -61,14 +58,16 @@ class CompiledTemplate:
             min_suffix[i] = min_suffix[i + 1] + _min_width(template[i])
         self.min_suffix = tuple(min_suffix)
         self.must_option_sets = tuple(
-            p.option_sets for p in template if isinstance(p, MustPat)
+            tuple(frozenset(option) for option in p.options)
+            for p in template
+            if isinstance(p, MustPat)
         )
 
     def align(
         self, tokens: list[Token], ctx: SheetContext, cap: int = 16
     ) -> list[Alignment]:
-        """Identical search (and result order) to the baseline ``align``,
-        minus the per-call suffix-table rebuild."""
+        """All (up to ``cap``) alignments over ``tokens``, found by
+        backtracking pruned with the suffix-width table."""
         n = len(tokens)
         template = self.template
         size = self.size
@@ -103,8 +102,8 @@ class CompiledTemplate:
         return results
 
     def quick_reject(self, fragment_words: frozenset[str]) -> bool:
-        """Compiled form of :func:`quick_reject` over the flat option-set
-        layout; same answer by construction."""
+        """True when some MustPat has no option whose words all occur in
+        the fragment."""
         for option_sets in self.must_option_sets:
             for option_set in option_sets:
                 if option_set <= fragment_words:
@@ -145,70 +144,12 @@ def align(
     cap: int = 16,
 ) -> list[Alignment]:
     """All (up to ``cap``) alignments of ``template`` over ``tokens``."""
-    if columnar_enabled():
-        return compile_template(template).align(tokens, ctx, cap)
-    n = len(tokens)
-    min_suffix = [0] * (len(template) + 1)
-    for i in range(len(template) - 1, -1, -1):
-        min_suffix[i] = min_suffix[i + 1] + _min_width(template[i])
-    if min_suffix[0] > n:
-        return []
-
-    results: list[Alignment] = []
-    ranges: list[tuple[int, int]] = []
-
-    def recurse(pattern_index: int, pos: int) -> None:
-        if len(results) >= cap:
-            return
-        if pattern_index == len(template):
-            if pos == n:
-                results.append(tuple(ranges))
-            return
-        # Remaining patterns must still be able to tile the rest.
-        if pos + min_suffix[pattern_index] > n:
-            return
-        pattern = template[pattern_index]
-        for end in pattern.ends(tokens, pos, n, ctx):
-            if end + min_suffix[pattern_index + 1] > n:
-                continue
-            ranges.append((pos, end))
-            recurse(pattern_index + 1, end)
-            ranges.pop()
-            if len(results) >= cap:
-                return
-
-    recurse(0, 0)
-    return results
+    return compile_template(template).align(tokens, ctx, cap)
 
 
 def quick_reject(
     template: tuple[Pattern, ...], fragment_words: frozenset[str]
 ) -> bool:
     """Cheap pre-check: a MustPat whose options all need words absent from
-    the fragment can never align (saves the backtracking search).
-
-    The compiled path (columnar layer enabled) loops over the template's
-    precollected option sets; the hot path tests each option's precomputed
-    word set against the fragment with one C-level subset check; the legacy
-    path (kept for the ``REPRO_NO_INTERN`` baseline) walks the words
-    through generators.
-    """
-    if columnar_enabled():
-        return compile_template(template).quick_reject(fragment_words)
-    if hotpath_enabled():
-        for pattern in template:
-            if isinstance(pattern, MustPat):
-                for option_set in pattern.option_sets:
-                    if option_set <= fragment_words:
-                        break
-                else:
-                    return True
-        return False
-    for pattern in template:
-        if isinstance(pattern, MustPat):
-            if not any(
-                all(word in fragment_words for word in option)
-                for option in pattern.options
-            ):
-                return True
-    return False
+    the fragment can never align (saves the backtracking search)."""
+    return compile_template(template).quick_reject(fragment_words)

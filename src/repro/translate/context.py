@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..dsl.ast import hotpath_enabled
 from ..sheet import Color, Workbook
 from ..sheet.address import column_letter_to_index
-from ..sheet.columnar import ColumnarIndex, columnar_enabled
 from .lexicon import SpellCorrector, keyword_vocabulary
 
 # Words that must never be "corrected" into sheet vocabulary.
@@ -93,26 +91,11 @@ class SheetContext:
             for column in table.column_names:
                 key = column.strip().lower().replace(" ", "")
                 self._columns.setdefault(key, []).append((table.name, column))
-        # Value lookups run against the interned columnar index when the
-        # backend is enabled — pool-id probes instead of a merged dict the
-        # context would otherwise rebuild per construction.  The row-backed
-        # build below is the REPRO_NO_COLUMNAR baseline, kept intact.
-        self._index: ColumnarIndex | None = None
-        self._values: dict[str, list[tuple[str, str]]] = {}
-        if columnar_enabled():
-            index = workbook.columnar_index()
-            self._index = index
-            self._max_value_words = index.max_value_words
-            self._value_words = index.value_words
-        else:
-            for value, slots in workbook.all_text_values().items():
-                self._values[value] = list(slots)
-            self._max_value_words = max(
-                (len(v.split()) for v in self._values), default=1
-            )
-            self._value_words = set()
-            for value in self._values:
-                self._value_words.update(value.split())
+        # Value lookups are pool-id probes against the interned columnar
+        # index, shared by every context over the same sheet revision.
+        self._index = workbook.columnar_index()
+        self._max_value_words = self._index.max_value_words
+        self._value_words = self._index.value_words
         self.corrector = self._make_corrector()
         # n-gram → match memos (the per-sentence seed index).  A word span
         # always resolves the same way against one sheet state, so the
@@ -129,16 +112,11 @@ class SheetContext:
         """The spell corrector for this sheet state.
 
         Construction sorts the whole vocabulary, which is material on large
-        sheets — so with the columnar backend the corrector is memoised on
-        the index (one per sheet revision and extra-vocabulary set, shared
-        by every context over the same state).  Behaviour is identical: the
-        corrector is stateless after construction and fully determined by
-        its vocabulary sets.
+        sheets — so the corrector is memoised on the columnar index (one per
+        sheet revision and extra-vocabulary set, shared by every context
+        over the same state).  The corrector is stateless after
+        construction and fully determined by its vocabulary sets.
         """
-        if self._index is None:
-            return SpellCorrector(
-                self._vocabulary(), preferred=self._content_vocabulary()
-            )
         key = ("corrector", frozenset(self._extra_vocabulary))
         corrector = self._index.derived.get(key)
         if corrector is None:
@@ -183,8 +161,6 @@ class SheetContext:
         Memoised per span (see ``index_sentence``); callers must treat the
         returned list as read-only.
         """
-        if not hotpath_enabled():
-            return self._match_column_uncached(words)
         cached = self._column_match_cache.get(words)
         if cached is None:
             if len(self._column_match_cache) >= self._MATCH_CACHE_CAP:
@@ -292,8 +268,6 @@ class SheetContext:
     def match_value(self, words: tuple[str, ...]) -> list[ValueMatch]:
         """Sheet values a span may refer to (plural forms included).
         Memoised like :meth:`match_column`."""
-        if not hotpath_enabled():
-            return self._match_value_uncached(words)
         cached = self._value_match_cache.get(words)
         if cached is None:
             if len(self._value_match_cache) >= self._MATCH_CACHE_CAP:
@@ -306,19 +280,12 @@ class SheetContext:
         if not words or len(words) > self._max_value_words + 1:
             return []
         joined = " ".join(words)
-        index = self._index
         for candidate in (joined, joined[:-1] if joined.endswith("s") else None):
             if candidate is None:
                 continue
-            # Columnar: one string-pool probe plus the per-id slot memo;
-            # row-backed baseline: the merged-dict lookup.  Slot order is
-            # identical (tables in insertion order, columns in header
-            # order), so downstream seeds and rankings cannot diverge.
-            slots = (
-                index.slots(candidate)
-                if index is not None
-                else self._values.get(candidate)
-            )
+            # One string-pool probe plus the per-id slot memo; slots come
+            # in table insertion order, columns in header order.
+            slots = self._index.slots(candidate)
             if slots:
                 return [
                     ValueMatch(candidate, table, column)
@@ -334,11 +301,8 @@ class SheetContext:
 
         Called once from ``Translator.prepare_tokens``; afterwards the
         O(n²) DP's seed, alignment-pattern, and neighbour-join probes for
-        any span of this sentence are single dict lookups.  A no-op when
-        the hot path is disabled.
+        any span of this sentence are single dict lookups.
         """
-        if not hotpath_enabled():
-            return
         n = len(words)
         widest = max(MAX_SPAN_WORDS, self._max_value_words + 1)
         for i in range(n):

@@ -55,9 +55,9 @@ class Derivation:
     )
 
     def __post_init__(self) -> None:
-        # Hash-cons the expression (no-op under REPRO_NO_INTERN): every
-        # derivation created anywhere in the pipeline carries a canonical
-        # node, so downstream dedup/type-checker probes are identity-backed.
+        # Hash-cons the expression: every derivation created anywhere in
+        # the pipeline carries a canonical node, so downstream
+        # dedup/type-checker probes are identity-backed.
         object.__setattr__(self, "expr", ast.intern(self.expr))
         object.__setattr__(self, "used_non_column", self.used - self.used_cols)
         object.__setattr__(self, "_key", (self.expr, self.used))

@@ -25,11 +25,10 @@ alignment algorithm composes these into full-fragment alignments.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Protocol
 
 from ..errors import RuleParseError
-from ..sheet.columnar import columnar_enabled
 from .context import MAX_SPAN_WORDS, SheetContext
 from .tokenizer import Token
 
@@ -53,19 +52,6 @@ class MustPat:
 
     options: tuple[tuple[str, ...], ...]
     ident: int | None = None
-    # Each option's words as a frozenset, precomputed once at rule-parse
-    # time: ``quick_reject`` runs per (rule, span) in the DP inner loop and
-    # a C-level subset test beats a python generator over the words.
-    option_sets: tuple[frozenset[str], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "option_sets",
-            tuple(frozenset(option) for option in self.options),
-        )
 
     def ends(self, tokens, start, limit, ctx):
         seen = set()
@@ -221,20 +207,15 @@ def template_table_size() -> int:
 def parse_template(text: str) -> tuple[Pattern, ...]:
     """Parse the concrete template syntax shown in the module docstring.
 
-    Interned per template text (see ``_TEMPLATE_TABLE``) unless the
-    columnar/template optimisation layer is disabled via
-    ``REPRO_NO_COLUMNAR=1``, in which case every call re-parses — the
-    pre-optimisation behaviour.
+    Interned per template text (see ``_TEMPLATE_TABLE``).
     """
-    if columnar_enabled():
-        cached = _TEMPLATE_TABLE.get(text)
-        if cached is None:
-            if len(_TEMPLATE_TABLE) >= _TEMPLATE_CAP:
-                _TEMPLATE_TABLE.clear()
-            cached = _parse_template(text)
-            _TEMPLATE_TABLE[text] = cached
-        return cached
-    return _parse_template(text)
+    cached = _TEMPLATE_TABLE.get(text)
+    if cached is None:
+        if len(_TEMPLATE_TABLE) >= _TEMPLATE_CAP:
+            _TEMPLATE_TABLE.clear()
+        cached = _parse_template(text)
+        _TEMPLATE_TABLE[text] = cached
+    return cached
 
 
 def _parse_template(text: str) -> tuple[Pattern, ...]:

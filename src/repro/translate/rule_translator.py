@@ -23,8 +23,7 @@ from ..dsl.types import TypeChecker
 from ..runtime.budget import Budget
 from ..runtime.faults import fault_point
 from ..sheet import CellValue
-from ..sheet.columnar import columnar_enabled
-from .alignment import CompiledTemplate, align, compile_template, quick_reject
+from .alignment import CompiledTemplate, compile_template
 from .context import SheetContext
 from .derivation import RULE, Derivation
 from .patterns import MustPat, OptPat
@@ -58,10 +57,9 @@ class RuleTranslator:
         # translator constructions — and forked workers — share them.
         # Keyed by rule identity (``self.rules`` keeps them alive); probes
         # in the DP inner loop are int-keyed dict hits, not tuple hashes.
-        self._compiled: dict[int, CompiledTemplate] = {}
-        if columnar_enabled():
-            for rule in rules:
-                self._compiled[id(rule)] = compile_template(rule.template)
+        self._compiled: dict[int, CompiledTemplate] = {
+            id(rule): compile_template(rule.template) for rule in rules
+        }
 
     # -- entry point ----------------------------------------------------------
 
@@ -76,16 +74,16 @@ class RuleTranslator:
         """
         words = frozenset(t.text for t in tokens)
         return [
-            r for r in self.rules if not self._quick_reject(r, words)
+            r for r in self.rules if not self._template(r).quick_reject(words)
         ]
 
-    def _quick_reject(self, rule: Rule, words: frozenset[str]) -> bool:
-        compiled = (
-            self._compiled.get(id(rule)) if columnar_enabled() else None
-        )
-        if compiled is not None:
-            return compiled.quick_reject(words)
-        return quick_reject(rule.template, words)
+    def _template(self, rule: Rule) -> CompiledTemplate:
+        """The rule's compiled template; rules added to the set after
+        construction go through the shared intern table."""
+        compiled = self._compiled.get(id(rule))
+        if compiled is None:
+            compiled = compile_template(rule.template)
+        return compiled
 
     def translate_span(
         self,
@@ -108,27 +106,15 @@ class RuleTranslator:
         fragment = tokens[start:end]
         fragment_words = frozenset(t.text for t in fragment)
         out: list[Derivation] = []
-        compiled_for = self._compiled if columnar_enabled() else None
         for rule in self.rules if rules is None else rules:
             if budget is not None and budget.exceeded("rules"):
                 break
-            compiled = (
-                compiled_for.get(id(rule)) if compiled_for is not None
-                else None
+            compiled = self._template(rule)
+            if compiled.quick_reject(fragment_words):
+                continue
+            alignments = compiled.align(
+                fragment, self.ctx, cap=self.max_alignments
             )
-            if compiled is not None:
-                if compiled.quick_reject(fragment_words):
-                    continue
-                alignments = compiled.align(
-                    fragment, self.ctx, cap=self.max_alignments
-                )
-            else:
-                if quick_reject(rule.template, fragment_words):
-                    continue
-                alignments = align(
-                    rule.template, fragment, self.ctx,
-                    cap=self.max_alignments,
-                )
             for alignment in alignments:
                 produced = self._apply(rule, alignment, fragment, start, tmap)
                 if budget is not None:

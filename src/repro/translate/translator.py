@@ -156,7 +156,7 @@ class Translator:
             # Rules that can match some fragment of this sentence — the
             # per-span quick-reject scan then only sees plausible rules.
             active_rules = None
-            if self.config.use_rules and ast.hotpath_enabled():
+            if self.config.use_rules:
                 active_rules = self.rule_translator.sentence_rules(tokens)
 
             try:
@@ -250,8 +250,7 @@ class Translator:
                     token = token.with_correction(correction.word)
             out.append(token)
         # Warm the per-sentence n-gram seed index: every span the DP will
-        # probe for column/value matches becomes a dict hit (no-op when the
-        # hot path is disabled).
+        # probe for column/value matches becomes a dict hit.
         self.ctx.index_sentence(tuple(t.text for t in out))
         return out
 

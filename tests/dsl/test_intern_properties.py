@@ -81,15 +81,6 @@ def expressions():
     )
 
 
-@pytest.fixture(autouse=True)
-def _hotpath_on():
-    """These properties are about the optimised mode; pin it on."""
-    was = ast.hotpath_enabled()
-    ast.set_hotpath(True)
-    yield
-    ast.set_hotpath(was)
-
-
 # -- interning preserves structural semantics --------------------------------
 
 
@@ -192,15 +183,22 @@ def test_memoised_checker_agrees_with_cold(workbook, exprs):
         )
 
 
+@pytest.fixture(scope="module")
+def warm_checker(workbook):
+    """One checker shared by every example, so its verdict, failure and
+    program memos hold entries from all earlier probes."""
+    return TypeChecker(workbook, content_check=True)
+
+
 @given(expressions())
 @settings(max_examples=100)
-def test_memoised_checker_agrees_across_modes(workbook, expr):
-    """The same verdicts with the hot path disabled entirely."""
-    expr_interned = ast.intern(expr)
-    on = _verdict(TypeChecker(workbook, content_check=True), expr_interned)
-    ast.set_hotpath(False)
-    try:
-        off = _verdict(TypeChecker(workbook, content_check=True), expr)
-    finally:
-        ast.set_hotpath(True)
-    assert on == off
+def test_memoised_checker_agrees_with_fresh_checker(
+    workbook, warm_checker, expr
+):
+    """The long-lived warm checker, probed with an un-interned tree (memo
+    hits must be structural, not by identity), gives the verdict of a
+    fresh checker on the interned node."""
+    fresh_checker = TypeChecker(workbook, content_check=True)
+    fresh = _verdict(fresh_checker, ast.intern(expr))
+    assert _verdict(warm_checker, expr) == fresh
+    assert warm_checker.valid(expr) == fresh[0]

@@ -3,7 +3,8 @@
 Property tests (hypothesis) build arbitrary workbooks — unicode values,
 whitespace, empties, plural-trap strings, values deliberately duplicated
 across columns and tables — and assert that every columnar lookup equals
-its row-backed counterpart in both ``REPRO_NO_COLUMNAR`` modes:
+a reference this module computes directly from the rows
+(``Table.distinct_text_values``):
 
 * the merged value lexicon (``Workbook.all_text_values``), including the
   slot-list *order* per value (it feeds seed and ranking order),
@@ -11,8 +12,7 @@ its row-backed counterpart in both ``REPRO_NO_COLUMNAR`` modes:
 * the type checker's value-in-column content probe,
 * the derived vocabulary artefacts (value words, max span width).
 
-Deterministic unit tests cover the revision-memo behaviour and the
-escape-hatch switch itself.
+Deterministic unit tests cover the revision-memo behaviour.
 """
 
 from __future__ import annotations
@@ -28,10 +28,13 @@ from repro.sheet import (
     Table,
     ValueType,
     Workbook,
-    columnar_enabled,
-    set_columnar,
 )
-from repro.translate.context import SheetContext
+from repro.translate.context import (
+    MAX_SPAN_WORDS,
+    ColumnMatch,
+    SheetContext,
+    ValueMatch,
+)
 
 # A pool with deliberate traps: empties-after-strip, plurals, multi-word
 # values, case/space variants that normalise together, unicode.
@@ -40,13 +43,6 @@ _TRICKY = [
     "CAPITOL HILL", "a b c d e", "s", "ß", "Ünïcode véry", "0", "column",
 ]
 _VALUES = st.one_of(st.sampled_from(_TRICKY), st.text(max_size=8))
-
-
-@pytest.fixture(autouse=True)
-def _restore_columnar():
-    was = columnar_enabled()
-    yield
-    set_columnar(was)
 
 
 @st.composite
@@ -84,11 +80,47 @@ def workbooks(draw):
     return wb
 
 
-def _spans(workbook) -> list[tuple[str, ...]]:
+def _reference_lexicon(workbook) -> dict[str, list[tuple[str, str]]]:
+    """value -> [(table, column)] by walking every table's rows, tables in
+    workbook order and columns in first-occurrence order."""
+    merged: dict[str, list[tuple[str, str]]] = {}
+    for table in workbook.tables:
+        for value, columns in table.distinct_text_values().items():
+            slots = merged.setdefault(value, [])
+            for column in columns:
+                if (table.name, column) not in slots:
+                    slots.append((table.name, column))
+    return merged
+
+
+def _reference_match_value(lexicon, words) -> list[ValueMatch]:
+    widest = max((len(v.split()) for v in lexicon), default=1)
+    if not words or len(words) > widest + 1:
+        return []
+    joined = " ".join(words)
+    for candidate in (joined, joined[:-1] if joined.endswith("s") else None):
+        if candidate is not None and lexicon.get(candidate):
+            return [ValueMatch(candidate, t, c) for t, c in lexicon[candidate]]
+    return []
+
+
+def _reference_match_column(ctx, lexicon, words) -> list[ColumnMatch]:
+    """Direct header matches come from the context itself (they never
+    touch cell values); the ResolveCol value fallback is recomputed."""
+    if not words or len(words) > MAX_SPAN_WORDS:
+        return []
+    direct = ctx._direct_column(words)
+    if direct:
+        return direct
+    return [
+        ColumnMatch(m.table, m.column, via_value=True)
+        for m in _reference_match_value(lexicon, words)
+    ]
+
+
+def _spans(lexicon) -> list[tuple[str, ...]]:
     """Probe spans: every value in the lexicon, its plural, its words, and
     some junk — enough to hit every match branch."""
-    set_columnar(False)
-    lexicon = workbook._all_text_values_rows()
     spans: list[tuple[str, ...]] = [("nosuchvalue",), ("chef", "hill")]
     for value in list(lexicon)[:40]:
         words = tuple(value.split())
@@ -103,31 +135,27 @@ def _spans(workbook) -> list[tuple[str, ...]]:
 @given(workbooks())
 def test_lexicon_identical(wb):
     """all_text_values: same keys, same slots, same slot order."""
-    set_columnar(False)
-    legacy = wb.all_text_values()
-    set_columnar(True)
     columnar = wb.all_text_values()
-    assert {k: list(v) for k, v in columnar.items()} == legacy
+    assert {k: list(v) for k, v in columnar.items()} == _reference_lexicon(wb)
 
 
 @settings(max_examples=60, deadline=None)
 @given(workbooks())
 def test_context_matches_identical(wb):
     """match_value/match_column agree span-for-span, order included."""
-    spans = _spans(wb)
-    set_columnar(True)
-    ctx_col = SheetContext(wb)
-    set_columnar(False)
-    ctx_row = SheetContext(wb)
-    assert ctx_col._max_value_words == ctx_row._max_value_words
-    assert set(ctx_col._value_words) == set(ctx_row._value_words)
-    for span in spans:
-        set_columnar(True)
-        by_col = ctx_col.match_value(span)
-        by_col_c = ctx_col.match_column(span)
-        set_columnar(False)
-        assert by_col == ctx_row.match_value(span), span
-        assert by_col_c == ctx_row.match_column(span), span
+    lexicon = _reference_lexicon(wb)
+    ctx = SheetContext(wb)
+    assert ctx._max_value_words == max(
+        (len(v.split()) for v in lexicon), default=1
+    )
+    assert set(ctx._value_words) == {w for v in lexicon for w in v.split()}
+    for span in _spans(lexicon):
+        assert ctx.match_value(span) == _reference_match_value(
+            lexicon, span
+        ), span
+        assert ctx.match_column(span) == _reference_match_column(
+            ctx, lexicon, span
+        ), span
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,7 +163,6 @@ def test_context_matches_identical(wb):
 def test_occurs_probe_identical(wb, raw):
     """The content-check probe: columnar occurs_in vs the row walk, for
     every (table, column) and both in-lexicon and arbitrary needles."""
-    set_columnar(True)
     index = wb.columnar_index()
     needles = {raw.strip().lower()}
     needles.update(list(index.all_text_values())[:20])
@@ -151,7 +178,6 @@ def test_occurs_probe_identical(wb, raw):
 
 def test_index_memoised_per_revision():
     wb = build_sheet("payroll")
-    set_columnar(True)
     first = wb.columnar_index()
     assert wb.columnar_index() is first  # same revision -> same object
     wb.table("Employees").cell(0, 0).value = CellValue.text("zoe")
@@ -163,30 +189,17 @@ def test_index_memoised_per_revision():
 
 def test_lexicon_memo_tracks_mutations():
     wb = build_sheet("payroll")
-    set_columnar(True)
     assert "alice" in wb.all_text_values()
+    assert wb.all_text_values()["chef"] == [
+        ("Employees", "title"), ("PayRates", "title")
+    ]
     wb.table("Employees").cell(0, 0).value = CellValue.text("zoe")
     fresh = wb.all_text_values()
     assert "zoe" in fresh and "alice" not in fresh
 
 
-def test_escape_hatch_switch():
-    set_columnar(False)
-    assert not columnar_enabled()
-    wb = build_sheet("payroll")
-    assert wb.all_text_values()["chef"] == [
-        ("Employees", "title"), ("PayRates", "title")
-    ]
-    set_columnar(True)
-    assert columnar_enabled()
-    assert wb.columnar_index().slots("chef") == (
-        ("Employees", "title"), ("PayRates", "title")
-    )
-
-
 def test_occurs_in_unknown_table_and_column():
     wb = build_sheet("payroll")
-    set_columnar(True)
     index = wb.columnar_index()
     assert not index.occurs_in("nope", "chef", "title")
     assert not index.occurs_in("employees", "chef", "nope")

@@ -1,130 +1,56 @@
-"""Differential harness: the hot path must never change an answer.
+"""The hot path against the answers of the legacy paths.
 
-Runs the Table 2 test split through :class:`TranslationService` with the
-DP optimisations on (interned ASTs, memoised type checking, seed indices)
-and again with everything disabled via the ``REPRO_NO_INTERN=1`` escape
-hatch, and asserts the rankings serialise to identical bytes — programs,
-scores, tiers, error codes, and the emitted Excel formula.  A second
-differential pushes the same batch through an optimised and a de-optimised
-gateway (fresh worker pools re-read the env var on fork) and compares the
-wire-level replies the same way.
+Interned ASTs, the memoised type checker and the per-sentence seed
+indices could once be switched off, and this file compared the two modes
+byte for byte.  The legacy paths are gone, but their answers are not:
+the golden digests in ``tests/golden/`` were recorded while both modes
+still agreed, so the hot path is checked against them from the two
+places where its state outlives one request:
 
-``REPRO_DIFF_LIMIT`` caps the number of descriptions per differential
-(evenly subsampled; default: the full test split, which is what the
-acceptance bar requires).
+* a fresh :class:`TranslationService` per description over the whole
+  Table 2 test split, so no translator, checker memo or seed index that
+  an earlier description filled is there for the next one (the digests
+  were pinned from one long-lived service per sheet);
+* a one-worker gateway, whose single forked process serves every sheet
+  in turn and carries its intern table and memos across all of them.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.dataset import SHEET_ORDER, Corpus, build_sheet
-from repro.dsl import ast
+from repro.dataset import build_sheet
 from repro.runtime import TranslationService
-from repro.serve import GatewayConfig, TranslationGateway
+
+from .golden import oracle
 
 pytestmark = pytest.mark.slow
 
-_LIMIT = os.environ.get("REPRO_DIFF_LIMIT")
+_GATEWAY_SAMPLE = 120
 
 
 @pytest.fixture(scope="module")
-def test_split():
-    descriptions = Corpus.default().test
-    if _LIMIT:
-        n = int(_LIMIT)
-        if 0 < n < len(descriptions):
-            step = len(descriptions) / n
-            descriptions = [descriptions[int(k * step)] for k in range(n)]
-    return descriptions
+def golden_table2():
+    return oracle.table2_pairs()
 
 
-def _serialise_service(result, workbook) -> bytes:
-    """Everything observable about a ranking, as bytes — including the
-    Excel emission for the top candidate (the user-visible artefact)."""
-    lines = [f"tier={result.tier} code={result.error_code}"]
-    lines += [f"{c.program}\t{c.score!r}" for c in result.candidates]
-    if result.top is not None:
-        try:
-            lines.append(f"excel={result.top.excel(workbook)}")
-        except Exception:  # noqa: BLE001 - both modes must fail alike too
-            lines.append("excel=<error>")
-    return "\n".join(lines).encode()
+def test_service_hotpath_equals_legacy(golden_table2):
+    """The full split, one fresh service per description: byte-identical
+    rankings, Excel emission included, description by description."""
+    workbooks = {}
+    produced = []
+    for d, _ in golden_table2:
+        workbook = workbooks.get(d.sheet_id)
+        if workbook is None:
+            workbook = workbooks[d.sheet_id] = build_sheet(d.sheet_id)
+        result = TranslationService(workbook).translate(d.text)
+        produced.append(oracle.service_record(result, workbook))
+    oracle.assert_unmoved([r for _, r in golden_table2], produced)
 
 
-def _serialise_gateway(result) -> bytes:
-    lines = [f"tier={result.tier} code={result.error_code}"]
-    lines += [f"{program}\t{score!r}" for program, score in result.programs]
-    lines.append(f"top_formula={result.top_formula}")
-    return "\n".join(lines).encode()
-
-
-def _run_service_split(test_split, workbooks) -> list[bytes]:
-    services = {
-        sheet_id: TranslationService(wb)
-        for sheet_id, wb in workbooks.items()
-    }
-    return [
-        _serialise_service(
-            services[d.sheet_id].translate(d.text), workbooks[d.sheet_id]
-        )
-        for d in test_split
-    ]
-
-
-def test_service_hotpath_equals_legacy(test_split):
-    """The full split with the hot path on vs the REPRO_NO_INTERN legacy
-    paths: byte-identical rankings, description by description."""
-    workbooks = {sheet_id: build_sheet(sheet_id) for sheet_id in SHEET_ORDER}
-    was = ast.hotpath_enabled()
-    try:
-        ast.set_hotpath(True)
-        optimised = _run_service_split(test_split, workbooks)
-        ast.set_hotpath(False)
-        legacy = _run_service_split(test_split, workbooks)
-    finally:
-        ast.set_hotpath(was)
-    mismatches = [
-        (d.sheet_id, d.text)
-        for d, a, b in zip(test_split, optimised, legacy)
-        if a != b
-    ]
-    assert not mismatches, (
-        f"{len(mismatches)}/{len(test_split)} rankings changed under the "
-        f"hot-path optimisations, e.g. {mismatches[:3]}"
-    )
-
-
-def test_gateway_hotpath_equals_legacy(test_split):
-    """The same batch through an optimised and a REPRO_NO_INTERN=1 gateway
-    must produce byte-identical wire-level replies.  Workers are forked
-    after the env var is set and re-sync it in ``worker_main``."""
-    sample = test_split[:: max(1, len(test_split) // 120)]
-    workbooks = {sheet_id: build_sheet(sheet_id) for sheet_id in SHEET_ORDER}
-
-    def run(no_intern: bool):
-        old = os.environ.get("REPRO_NO_INTERN")
-        os.environ["REPRO_NO_INTERN"] = "1" if no_intern else ""
-        gateway = TranslationGateway(
-            config=GatewayConfig(workers=2, queue_limit=1024)
-        )
-        try:
-            pendings = [
-                gateway.submit(d.text, workbooks[d.sheet_id]) for d in sample
-            ]
-            return [p.result(timeout=120.0) for p in pendings]
-        finally:
-            gateway.close(drain=True)
-            if old is None:
-                os.environ.pop("REPRO_NO_INTERN", None)
-            else:
-                os.environ["REPRO_NO_INTERN"] = old
-
-    optimised = run(no_intern=False)
-    legacy = run(no_intern=True)
-    for d, a, b in zip(sample, optimised, legacy):
-        assert _serialise_gateway(a) == _serialise_gateway(b), (
-            d.sheet_id, d.text
-        )
+def test_gateway_hotpath_equals_legacy(golden_table2):
+    """An even sample through a one-worker gateway: the wire-level
+    replies carry the pinned digests."""
+    sample = oracle.even_sample(golden_table2, _GATEWAY_SAMPLE)
+    produced = oracle.run_gateway([d for d, _ in sample], workers=1)
+    oracle.assert_unmoved([r for _, r in sample], produced)
